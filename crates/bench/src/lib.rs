@@ -288,41 +288,132 @@ pub fn median_wall<F: FnMut() -> EngineStats>(mut run: F) -> (EngineStats, Durat
 }
 
 // ---------------------------------------------------------------------------
-// Paired-sample statistics — shared by the BENCH gate binaries
-// (`bench_pr8`, `perf_history`; earlier gates carry local copies that
-// predate this module).
+// Paired-sample statistics for the `overhead` gate table.
 // ---------------------------------------------------------------------------
 
-/// Median wall over one mode's interleaved samples.
-pub fn median_of(walls: &[Duration]) -> Duration {
-    let mut sorted = walls.to_vec();
-    sorted.sort();
-    sorted[sorted.len() / 2]
+/// Whether round `round` of a paired comparison runs the variant first.
+/// Alternating the order cancels any first-run/second-run bias (cache and
+/// allocator state left behind by the previous run) across the rounds.
+pub fn variant_first(round: usize) -> bool {
+    round % 2 == 1
 }
 
-/// Best (minimum) wall. On an oversubscribed CI container co-tenant noise
-/// is strictly additive — it only makes a sample *slower* — so the fastest
-/// sample is the least-biased estimator of the machine's actual cost.
-pub fn best_wall(walls: &[Duration]) -> Duration {
-    *walls.iter().min().expect("best_wall of empty sample set")
+/// The `q`-quantile of an ascending slice, interpolating linearly between
+/// the two nearest ranks (so the median of an even count is the mean of
+/// the middle pair). `None` for an empty slice.
+fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
+    let pos = q.clamp(0.0, 1.0) * last as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64))
 }
 
-/// Best-wall overhead of `instrumented` over `dark`, in percent. Negative
-/// means the instrumented mode measured faster (i.e. below the noise floor).
-pub fn overhead_pct_best(dark: &[Duration], instrumented: &[Duration]) -> f64 {
-    let d = best_wall(dark).as_secs_f64();
-    let i = best_wall(instrumented).as_secs_f64();
-    (i / d - 1.0) * 100.0
+/// Overhead of a variant configuration over its base, from paired rounds:
+/// round `i` timed both sides back to back, and its overhead is
+/// `variant[i] / base[i] - 1`. Pairing each round keeps machine-load drift
+/// that spans a round out of the ratio; the median over rounds keeps a
+/// single disturbed round out of the verdict.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Paired {
+    /// Paired rounds measured.
+    pub rounds: usize,
+    /// Median per-round overhead, percent.
+    pub median_pct: f64,
+    /// First quartile of the per-round overheads, percent.
+    pub q1_pct: f64,
+    /// Third quartile of the per-round overheads, percent.
+    pub q3_pct: f64,
 }
 
-/// Same-mode noise floor: the apparent "overhead" between the even- and
-/// odd-indexed halves of one mode's interleaved samples. Any measured
-/// cross-mode overhead below this is indistinguishable from scheduler noise.
-pub fn noise_floor_pct(dark: &[Duration]) -> f64 {
-    let even: Vec<Duration> = dark.iter().step_by(2).copied().collect();
-    let odd: Vec<Duration> = dark.iter().skip(1).step_by(2).copied().collect();
-    if even.is_empty() || odd.is_empty() {
-        return 0.0;
+impl Paired {
+    /// Summarize paired walls (`base[i]` and `variant[i]` from the same
+    /// round). `None` when there are no rounds.
+    pub fn from_walls(base: &[Duration], variant: &[Duration]) -> Option<Paired> {
+        assert_eq!(base.len(), variant.len(), "unpaired samples");
+        let mut pct: Vec<f64> = base
+            .iter()
+            .zip(variant)
+            .map(|(b, v)| (v.as_secs_f64() / b.as_secs_f64() - 1.0) * 100.0)
+            .collect();
+        pct.sort_by(f64::total_cmp);
+        Some(Paired {
+            rounds: pct.len(),
+            median_pct: quantile(&pct, 0.5)?,
+            q1_pct: quantile(&pct, 0.25)?,
+            q3_pct: quantile(&pct, 0.75)?,
+        })
     }
-    overhead_pct_best(&even, &odd).abs()
+
+    /// Interquartile range of the per-round overheads, percent.
+    pub fn iqr_pct(&self) -> f64 {
+        self.q3_pct - self.q1_pct
+    }
+
+    /// A gated row passes when its median overhead is at most the budget.
+    pub fn within(&self, budget_pct: f64) -> bool {
+        self.median_pct <= budget_pct
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ms(v: &[u64]) -> Vec<Duration> {
+        v.iter().map(|&m| Duration::from_millis(m)).collect()
+    }
+
+    #[test]
+    fn median_of_even_count_is_mean_of_middle_pair() {
+        assert_eq!(quantile(&[1.0, 2.0, 4.0, 10.0], 0.5), Some(3.0));
+        assert_eq!(quantile(&[1.0, 2.0, 4.0], 0.5), Some(2.0));
+        // Base 100 ms each; variants +1%, +2%, +4%, +10%.
+        let p = Paired::from_walls(&ms(&[100; 4]), &ms(&[101, 102, 104, 110])).unwrap();
+        assert_eq!(p.rounds, 4);
+        assert!((p.median_pct - 3.0).abs() < 1e-9, "{p:?}");
+        assert!((p.q1_pct - 1.75).abs() < 1e-9, "{p:?}");
+        assert!((p.q3_pct - 5.5).abs() < 1e-9, "{p:?}");
+        assert!((p.iqr_pct() - 3.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rounds_alternate_which_side_goes_first() {
+        let order: Vec<bool> = (0..5).map(variant_first).collect();
+        assert_eq!(order, [false, true, false, true, false]);
+    }
+
+    #[test]
+    fn ratios_pair_by_round_not_by_rank() {
+        // Round walls drift 2x between rounds; each round's variant is 5%
+        // slower than its own base, so the paired overhead is exactly 5%
+        // even though the unpaired medians would mix rounds.
+        let p = Paired::from_walls(&ms(&[100, 200, 100]), &ms(&[105, 210, 105])).unwrap();
+        assert!((p.median_pct - 5.0).abs() < 1e-9, "{p:?}");
+        assert!(p.iqr_pct().abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_and_one_sample_rows() {
+        assert_eq!(quantile(&[], 0.5), None);
+        assert_eq!(Paired::from_walls(&[], &[]), None);
+        let p = Paired::from_walls(&ms(&[200]), &ms(&[190])).unwrap();
+        assert_eq!(p.rounds, 1);
+        assert!((p.median_pct + 5.0).abs() < 1e-9, "{p:?}");
+        assert_eq!(p.q1_pct, p.median_pct);
+        assert_eq!(p.q3_pct, p.median_pct);
+        assert_eq!(p.iqr_pct(), 0.0);
+    }
+
+    #[test]
+    fn verdict_is_median_against_budget_with_no_allowance() {
+        let p = Paired::from_walls(&ms(&[100; 3]), &ms(&[103, 103, 150])).unwrap();
+        assert!(p.within(3.0 + 1e-9));
+        assert!(!p.within(2.9));
+    }
+
+    #[test]
+    #[should_panic(expected = "unpaired")]
+    fn unpaired_samples_are_rejected() {
+        let _ = Paired::from_walls(&ms(&[100, 100]), &ms(&[100]));
+    }
 }

@@ -61,7 +61,7 @@ pub use packet::{Packet, PacketId, Priority};
 pub use policy::{PolicyKind, RouteDecision};
 pub use router::RouterState;
 pub use run::{
-    simulate, simulate_parallel, simulate_parallel_state_saving, simulate_resumed,
-    simulate_sequential, simulate_supervised,
+    simulate_parallel, simulate_parallel_state_saving, simulate_resumed, simulate_sequential,
+    simulate_supervised,
 };
 pub use stats::{NetStats, RouterStats};

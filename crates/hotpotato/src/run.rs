@@ -74,16 +74,3 @@ pub fn simulate_supervised<T: Topology>(
     cfg.end_time = model.end_time();
     supervise(model, &cfg, policy)
 }
-
-/// Run on either kernel, selected at runtime (bench harness convenience).
-pub fn simulate<T: Topology>(
-    model: &HotPotatoModel<T>,
-    engine: &EngineConfig,
-    parallel: bool,
-) -> Result<RunResult<NetStats>, RunError> {
-    if parallel {
-        simulate_parallel(model, engine)
-    } else {
-        simulate_sequential(model, engine)
-    }
-}

@@ -318,9 +318,10 @@ impl fmt::Display for PhaseProfile {
 }
 
 /// Default stride shift for hot phases: 1 scope in `2^7 = 128` is timed.
-/// Chosen so the default-on profiler stays under the `bench_pr4` overhead
-/// budget even on one oversubscribed core, where a clock read costs far
-/// more than the hot-path work it brackets. Lower it (`PDES_OBS_PROF_SHIFT`)
+/// Chosen so the default-on profiler stays under the 5% budget of the
+/// `profiler` row in the `bench` crate's `overhead` table, even on an
+/// oversubscribed host, where a clock read costs far more than the hot-path
+/// work it brackets. Lower it (`PDES_OBS_PROF_SHIFT`)
 /// for finer histograms on short runs.
 pub const DEFAULT_SAMPLE_SHIFT: u32 = 7;
 

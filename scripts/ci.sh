@@ -107,20 +107,8 @@ else
     echo "SKIPPED: nightly toolchain with rust-src not installed"
 fi
 
-echo "== bench smoke: 16x16 torus at 1 and 4 PEs (BENCH_pr2.json) =="
-# Perf-trajectory smoke: asserts parallel output == sequential oracle at
-# both PE counts, then records committed-events/sec. Not a pass/fail gate
-# on throughput (CI machines vary); the JSON is the artifact to eyeball.
-# All BENCH artifacts land in artifacts/ only — the single source of truth
-# the perf_history gate below reads.
-cargo build --release -p bench
-mkdir -p artifacts
-# --baseline is the pre-comm-fabric (mutex inbox) 4-PE throughput measured on
-# the 1-core reference box; keeps the speedup field in the regenerated JSON.
-./target/release/bench_pr2 --out=artifacts/BENCH_pr2.json --baseline=845529
-cat artifacts/BENCH_pr2.json
-
 echo "== instrumented smoke: trace + metrics export (artifacts/) =="
+cargo build --release -p bench
 # Full-verbosity run with both exporters on; obs_report itself re-validates
 # everything it writes with the in-tree JSON validator before exiting 0.
 ./target/release/obs_report \
@@ -161,52 +149,6 @@ print(f"summary.json: {s['events_committed']} committed, "
 EOF
 fi
 
-echo "== bench smoke: observability overhead (BENCH_pr3.json) =="
-# Gates the *default* always-on telemetry (GVT-round series + sink) at
-# <3% committed-events/sec vs a dark run, using interleaved paired samples;
-# full-verbosity overhead is recorded in the JSON informationally.
-./target/release/bench_pr3 --out=artifacts/BENCH_pr3.json
-
-echo "== bench smoke: profiler + packet-trace overhead (BENCH_pr4.json) =="
-# Gates the default-on phase profiler at <3% committed-events/sec vs a dark
-# run (paired interleaved samples); full packet tracing is recorded
-# informationally. Also re-asserts committed output and committed lineage
-# are bit-identical to the sequential oracle before timing anything.
-./target/release/bench_pr4 --out=artifacts/BENCH_pr4.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr4.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], f"profiler overhead {b['overhead_pct_profiler']}% over budget"
-for m in b["modes"]:
-    if m["mode"] != "prof_off":
-        assert abs(m["phase_share_sum"] - 1.0) < 1e-6, m
-print(f"BENCH_pr4.json: profiler {b['overhead_pct_profiler']}%, "
-      f"tracing {b['overhead_pct_tracing']}% (informational)")
-EOF
-fi
-
-echo "== bench smoke: runtime-auditor overhead (BENCH_pr5.json) =="
-# Gates the audit-OFF configuration at <1% committed-events/sec regression
-# vs the PR 4 dark baseline just regenerated above (same machine, same
-# session); audit-ON overhead (probe re-execution) is informational. Both
-# modes re-assert bit-identical committed output vs the sequential oracle.
-./target/release/bench_pr5 --baseline=artifacts/BENCH_pr4.json --out=artifacts/BENCH_pr5.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr5.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"audit-off regression {b['regression_pct_vs_baseline']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["audit_off"]["events_committed"] == modes["audit_on"]["events_committed"]
-print(f"BENCH_pr5.json: audit-off regression {b['regression_pct_vs_baseline']}% "
-      f"vs PR4 baseline; audit-on {b['overhead_pct_audit_on']}% (informational)")
-EOF
-fi
-
 echo "== chaos: kill-and-resume recovery matrix (tests/checkpoint.rs) =="
 # Release-mode rerun of the crash-recovery matrix: killed parallel runs are
 # resumed from the newest intact snapshot and must commit bit-identical
@@ -214,128 +156,11 @@ echo "== chaos: kill-and-resume recovery matrix (tests/checkpoint.rs) =="
 # schedulers x {1,2,4} PEs; torn snapshots must be rejected with fallback.
 cargo test --release -q --test checkpoint
 
-echo "== bench smoke: checkpoint overhead (BENCH_pr6.json) =="
-# Gates the ckpt-OFF configuration at <1% committed-events/sec regression
-# vs the PR 5 dark baseline just regenerated above (same machine, same
-# session); snapshot-every-GVT-round cost is informational. Both modes
-# re-assert bit-identical committed output vs the sequential oracle.
-./target/release/bench_pr6 --baseline=artifacts/BENCH_pr5.json --out=artifacts/BENCH_pr6.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr6.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"ckpt-off regression {b['regression_pct_vs_baseline']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["ckpt_off"]["events_committed"] == modes["ckpt_every_round"]["events_committed"]
-assert modes["ckpt_every_round"]["checkpoints_written"] > 0
-print(f"BENCH_pr6.json: ckpt-off regression {b['regression_pct_vs_baseline']}% "
-      f"vs PR5 baseline; every-round snapshots "
-      f"{b['overhead_pct_ckpt_every_round']}% (informational)")
-EOF
-fi
-
 echo "== alloc smoke: ~0 allocations per committed event =="
 # Counting global allocator over a warm 4-PE run: total allocations
 # (including per-run setup) divided by committed events must stay under the
 # 0.2 budget — one leaked allocation per event would be ~5x over.
 ./target/release/alloc_smoke
-
-echo "== bench gate: arena/zero-copy speedup (BENCH_pr7.json) =="
-# Paired-sample gate vs the frozen PR 6 ckpt-off baseline (embedded in the
-# binary): committed-events/sec on the 4-PE 16x16 torus must be >= 1.3x.
-# Asserts committed output bit-identical to the sequential oracle AND to
-# the pre-arena golden Debug string before timing anything. Audit-fast and
-# streaming-checkpoint costs are recorded informationally.
-./target/release/bench_pr7 --out=artifacts/BENCH_pr7.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr7.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["pass"], f"arena speedup {b['speedup_best']}x below {b['min_speedup']}x gate"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["arena"]["arena_peak_slots"] > 0
-assert modes["ckpt_every_round"]["checkpoint_bytes"] > 0
-print(f"BENCH_pr7.json: arena speedup {b['speedup_best']}x best / "
-      f"{b['speedup_median']}x median vs PR6 baseline "
-      f"(noise floor {b['noise_floor_pct']}%); audit_fast "
-      f"{b['overhead_pct_audit_fast']}% vs audit_full "
-      f"{b['overhead_pct_audit_full']}% (informational)")
-EOF
-fi
-
-echo "== bench gate: fleet-telemetry overhead (BENCH_pr8.json) =="
-# Paired-sample gate on the PR 8 surface: run-manifest write + JSONL metric
-# streaming + heartbeat emission must cost <5% committed-events/sec vs
-# default-on observability without a sink. Also round-trips the manifest
-# through the in-tree parser and requires start/end heartbeats to bracket
-# the stream before timing anything.
-./target/release/bench_pr8 --out=artifacts/BENCH_pr8.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr8.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"fleet telemetry overhead {b['overhead_pct_hub_on']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["hub_off"]["events_committed"] == modes["hub_on"]["events_committed"]
-assert b["heartbeat_lines"] >= 2 and b["manifest_bytes"] > 0
-print(f"BENCH_pr8.json: hub_on {b['overhead_pct_hub_on']}% "
-      f"(jsonl-only {b['overhead_pct_jsonl_only']}%, "
-      f"noise floor {b['noise_floor_pct']}%), "
-      f"{b['heartbeat_lines']} heartbeats, {b['manifest_bytes']} manifest bytes")
-EOF
-fi
-
-echo "== bench gate: rollback-forensics overhead (BENCH_pr9.json) =="
-# Paired-sample gate on the PR 9 surface: cascade attribution + blame matrix
-# + wasted-work ledger must cost <3% committed-events/sec vs blame-off.
-# Before timing it runs the {heap,splay,calendar} x {1,2,4}-PE matrix:
-# committed output pinned to the sequential oracle, blame ledger reconciled
-# exactly with the legacy rollback counters, canonical blame JSON
-# byte-stable, structural zeros at 1 PE, and the ledger's wasted_ns within
-# one rounding per priced scope of the profiler's estimate.
-./target/release/bench_pr9 --out=artifacts/BENCH_pr9.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr9.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"rollback forensics overhead {b['overhead_pct_blame_on']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["blame_off"]["events_committed"] == modes["blame_on"]["events_committed"]
-assert b["matrix_points"] == 9, b
-print(f"BENCH_pr9.json: blame_on {b['overhead_pct_blame_on']}% "
-      f"(noise floor {b['noise_floor_pct']}%), {b['matrix_points']} matrix "
-      f"points, {b['warmup_cascades']} cascades, "
-      f"{b['warmup_wasted_ns']} ns wasted on warm-up")
-EOF
-fi
-
-echo "== bench gate: sync-facade zero cost (BENCH_pr10.json) =="
-# The pdes::sync atomics facade must inline to raw std atomics in native
-# builds: the facade mode (identical config to PR 9's blame_off side,
-# regenerated above on this machine) may not regress committed-events/sec
-# by more than 1% beyond the noise floors of BOTH processes (the two
-# numbers are separate runs minutes apart; either side's floor bounds the
-# cross-process drift).
-./target/release/bench_pr10 --baseline=artifacts/BENCH_pr9.json --out=artifacts/BENCH_pr10.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr10.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"facade regression {b['regression_pct_vs_baseline']}% over budget"
-assert b["baseline_events_per_sec"] is not None, "PR 9 baseline missing"
-print(f"BENCH_pr10.json: facade regression {b['regression_pct_vs_baseline']}% "
-      f"vs PR9 blame_off (noise floor {b['noise_floor_pct']}%)")
-EOF
-fi
 
 echo "== forensics smoke: rollback_report on the figure-7 regime =="
 # Who-caused-it report on an instrumented tight-GVT run: cross-checks the
@@ -395,10 +220,23 @@ print(f"mini-farm: {r['runs']} runs ended, {r['committed']} committed, "
 EOF
 fi
 
-echo "== perf_history: BENCH trajectory gate over artifacts/ =="
-# Folds every artifacts/BENCH_pr*.json (all regenerated above, same machine,
-# same session) into one normalized timeline: each file's own gate verdict
-# must hold, and the primary throughput must not collapse >25% PR-over-PR.
-./target/release/perf_history --dir=artifacts --max-drop-pct=25
+echo "== twbench smoke: every workload, 1 s, oracle-checked =="
+# The same-host benchmark (its own package under twbench/). Each run checks
+# every timed simulation against the sequential oracle and exits nonzero
+# when one errs or differs; the metrics themselves are not judged here.
+cargo build --release --quiet --manifest-path twbench/Cargo.toml
+for w in seq_n32 tw2_n32 tw2_n8; do
+    ./twbench/target/release/twbench --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -1
+done
+
+echo "== overhead: paired gate table for the optional layers =="
+# Estimator unit tests first, then the table (crates/bench/src/bin/overhead.rs):
+# every row asserts base and variant commit the sequential oracle's exact
+# output, then times them back to back for 201 alternating rounds at 2 PEs
+# and gates the median per-round overhead against the row's budget
+# (obs_default 3%, profiler 5%, hub 5%, blame 3%). The aa_control row is
+# the harness's own bias. Last stage: its timing verdicts are the noisiest.
+cargo test -q -p bench --lib
+./target/release/overhead --out=artifacts/overhead.json
 
 echo "CI gate passed."

@@ -199,3 +199,29 @@ fn throttled_optimism_matches_sequential_hotpotato() {
     .unwrap();
     assert_eq!(par.output, seq.output);
 }
+
+/// Committed history of the 16×16 torus at load 0.4, seed `0xBE9C_0702`,
+/// 96 steps — the workload of the `overhead` gate table — as the engine
+/// committed it before the arena event store. Any drift here means a
+/// kernel change altered simulation semantics, even if the sequential and
+/// parallel kernels still agree with each other.
+#[test]
+fn golden_output_16x16_torus_load_0_4() {
+    const GOLDEN_COMMITTED: u64 = 171_053;
+    const GOLDEN_OUTPUT: &str = "NetStats { totals: RouterStats { delivered: 6117, \
+        transit_steps_sum: 75879, distance_sum: 48602, delivered_deflections_sum: 10591, \
+        injected: 5946, wait_steps_sum: 4275, max_wait_steps: 15, inject_attempts: 10272, \
+        inject_failures: 4326, routes: 77332, routes_by_priority: [76454, 878, 0, 0], \
+        deflections: 12555, promotions: 202, demotions: 0, heartbeats: 0, stalls: 0 }, \
+        injectors: 107, routers: 256 }";
+    let model = HotPotatoModel::torus(HotPotatoConfig::new(16, 96).with_injectors(0.4));
+    let base = EngineConfig::new(model.end_time())
+        .with_seed(0xBE9C_0702)
+        .with_lookahead(model.natural_lookahead());
+    let seq = simulate_sequential(&model, &base).unwrap();
+    let par = simulate_parallel(&model, &base.clone().with_pes(2).with_kps(64)).unwrap();
+    for (kernel, r) in [("sequential", &seq), ("2-PE parallel", &par)] {
+        assert_eq!(r.stats.events_committed, GOLDEN_COMMITTED, "{kernel}");
+        assert_eq!(format!("{:?}", r.output), GOLDEN_OUTPUT, "{kernel}");
+    }
+}
